@@ -102,7 +102,35 @@ def _job_spec(campaign: CampaignSpec, cell: Cell, repetition: int,
         kwargs.setdefault("num_cores", 1 if kind == "spec" else 4)
     kwargs["workload_kind"] = kind
     kwargs["base_seed"] = campaign.repetition_seed(cell, repetition)
-    return JobSpec(**kwargs)
+    spec = JobSpec(**kwargs)
+    if scenario is not None:
+        _check_scenario_fits(spec)
+    return spec
+
+
+def _check_scenario_fits(spec: JobSpec) -> None:
+    """Reject a scenario whose tenants cannot fit the job's machine.
+
+    Uses the scenario's seed-independent span bound, so an infeasible
+    study fails as it expands rather than point by point after dispatch.
+    """
+    from repro.workloads.tenants import TenantScenarioSpec
+
+    try:
+        scenario = TenantScenarioSpec.from_file(spec.scenario)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read scenario {spec.scenario}: {exc}"
+        ) from None
+    bound = scenario.max_span_pages()
+    pages = spec.system_config().off_package_pages
+    if bound > pages:
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} may span {bound} pages of "
+            f"off-package DRAM but point {spec.label} (scale "
+            f"{spec.capacity_scale}) has {pages}; lower 'scale' or "
+            "shrink the tenant count/footprints"
+        )
 
 
 def expand(campaign: CampaignSpec) -> List[CampaignJob]:

@@ -1,11 +1,20 @@
 """Batched (v2) execution engine: fused per-design access kernels.
 
-PR 2 made :meth:`MemorySystemDesign.access_cycles` a single hand-inlined
+:meth:`MemorySystemDesign.access_cycles` is a single hand-inlined
 function; the remaining per-access overhead is the *call* into it (and,
 inside, the per-access re-hoisting of every structure the path touches).
-This module removes both: a **kernel** replays one core's whole trace in
-a single loop with every hot structure -- TLB dicts, on-die sets, GIPT,
-channel free-lists, timing constants -- bound to locals exactly once.
+This module removes both: a **kernel** replays the rest of one core's
+trace segment in a single loop with every hot structure -- TLB dicts,
+on-die sets, GIPT, channel free-lists, timing constants -- bound to
+locals exactly once.
+
+Where the kernel fires: the replay driver
+(:func:`repro.cpu.multicore._replay`) runs the earliest core up to a
+horizon, the next core's clock.  Once only one core is left active its
+horizon is infinite, and the driver hands that core's remaining segment
+to the kernel instead of stepping it access by access.  Kernels run to
+the end of the segment, never to a finite horizon, so while several
+cores interleave every access goes through the driver's scalar step.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -39,7 +48,7 @@ histograms, no mid-run core attachments.  With any of those installed,
 from __future__ import annotations
 
 import gc
-from typing import List, Optional
+from typing import List
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
 from repro.core.miss_handler import MissOutcome
@@ -105,14 +114,13 @@ def select_kernel(design: MemorySystemDesign):
 def run_interleaved_batched(
     design: MemorySystemDesign,
     bindings: List[BoundTrace],
-    max_accesses: Optional[int] = None,
 ) -> List[CoreResult]:
     """Drop-in replacement for :func:`run_interleaved`.
 
-    Multi-core interleaving keeps the scalar argmin stepping (global
-    event order is what makes contention results meaningful); the
-    single-active-core regime -- the whole run for single-programmed
-    workloads, the end-game for mixes -- runs the fused kernel.
+    The replay driver keeps cores in global clock order; once a single
+    core is left active -- the whole run for single-programmed
+    workloads, the end-game for mixes -- its horizon is infinite and the
+    fused kernel replays the rest of its trace in one call.
 
     The cyclic collector is suspended for the duration of the replay:
     the kernels allocate steadily (TLB entries, zip tuples) but create
@@ -123,9 +131,8 @@ def run_interleaved_batched(
     if was_enabled:
         gc.disable()
     try:
-        return run_interleaved(
-            design, bindings, max_accesses, _kernel=select_kernel(design)
-        )
+        return run_interleaved(design, bindings,
+                               _kernel=select_kernel(design))
     finally:
         if was_enabled:
             gc.enable()

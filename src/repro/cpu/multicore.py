@@ -1,23 +1,33 @@
-"""Timestamp-interleaved execution of per-core traces against one design.
+"""The replay driver: every core's trace segments, in global clock order.
 
-Each core replays its own trace on its own clock; the engine always steps
-the core whose local time is earliest, so shared state -- the DRAM cache,
-the channel schedulers, the GIPT -- sees events in a globally consistent
-order.  This is the standard way to get multi-programmed contention
-behaviour out of a one-pass trace simulation.
+Each core replays an ordered list of *segments* -- one per
+:class:`BoundTrace`, or one per tenant slice of a multi-tenant schedule
+(:mod:`repro.cpu.scheduled`) -- on its own clock.  Shared state (the
+DRAM cache, the channel schedulers, the GIPT) must see accesses in one
+globally consistent order, so :func:`_replay` always runs the core with
+the earliest clock, and ties go to the core bound first.
 
-This module is the hot path of every experiment in the repository: the
-inner loops below run once per simulated memory reference.  They are
-therefore written for throughput -- slotted per-core state objects,
-hot values bound to locals, the default interval core model inlined --
-while producing *bit-identical* results to the straightforward
-formulation (the golden-stats suite enforces this).
+It does so in *runs* rather than single accesses: the earliest core
+keeps stepping until its segment ends or its clock reaches the
+*horizon*, the earliest clock among the other active cores.  A core
+bound earlier wins ties, so the run stops once the clock is ``>=`` that
+core's; a core bound later loses ties, so the run stops only once the
+clock is ``>`` it.  That is exactly the order a one-access-at-a-time
+argmin stepper produces.  With a single core left the horizon is
+infinite, which makes single-programmed runs one long run -- and lets
+the batched engine's fused kernel (``kernel``) replay that last core's
+segment in one call.
+
+Per-core clocks are held by the core timing models and advanced through
+their methods, so every core model and every observer that reads a
+model mid-run (repro.obs sampling per-core IPC) sees the same floats.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+import math
+from typing import List
 
 from repro.cpu.core_model import CoreTimingModel, make_core_model
 from repro.designs.base import MemorySystemDesign
@@ -50,107 +60,135 @@ class CoreResult:
         return self.instructions / self.cycles
 
 
-class _CoreState:
-    """Slotted per-core replay state (one dict lookup fewer per field
-    than the dict-of-dicts this replaces)."""
+class _Cursor:
+    """One core's position in its segment list.
 
-    __slots__ = ("core_id", "process_id", "workload", "model",
+    A segment is anything with ``process_id`` and ``trace`` attributes
+    (a :class:`BoundTrace`, a tenant slice).  The fused kernels of
+    :mod:`repro.cpu.batched` read and advance the same fields.
+    """
+
+    __slots__ = ("core_id", "model", "pending", "segment", "process_id",
                  "pages", "lines", "writes", "gaps", "pos", "length")
 
-    def __init__(self, binding: BoundTrace, model,
-                 pages, lines, writes, gaps):
-        self.core_id = binding.core_id
-        self.process_id = binding.process_id
-        self.workload = binding.trace.name
+    def __init__(self, core_id: int, model, segments):
+        self.core_id = core_id
         self.model = model
-        self.pages = pages
-        self.lines = lines
-        self.writes = writes
-        self.gaps = gaps
-        self.pos = 0
-        self.length = len(pages)
+        self.pending = iter(segments)
+        self.segment = None
+
+    def enter_next(self, on_entry=None) -> bool:
+        """Move to the next non-empty segment; False once none is left.
+
+        ``on_entry(cursor, segment)`` runs before the cursor switches,
+        so it still sees the outgoing ``cursor.segment``.
+        """
+        for segment in self.pending:
+            if not len(segment.trace):
+                continue
+            if on_entry is not None:
+                on_entry(self, segment)
+            self.segment = segment
+            self.process_id = segment.process_id
+            self.pages, self.lines, self.writes, self.gaps = \
+                segment.trace.as_lists()
+            self.pos = 0
+            self.length = len(self.pages)
+            return True
+        return False
 
 
-def _run_single(state: _CoreState, access_cycles,
-                generic: bool = False) -> None:
-    """Replay one core's remaining trace with no scheduling overhead.
+def _replay(design: MemorySystemDesign, cursors: List[_Cursor],
+            on_entry=None, tally=None, kernel=None) -> None:
+    """Step ``cursors`` through their segments in global clock order.
 
-    Used whenever only one core is (still) active -- the whole run for
-    single-programmed workloads, the end-game for mixes.  The default
-    MLP interval model's arithmetic is inlined (same operations in the
-    same order as ``CoreTimingModel.advance_instructions`` /
-    ``account_memory``, so the floats come out identical); other core
-    models fall back to method calls.  ``generic=True`` forces the
-    method-call branch: the inlined loop keeps the model's state in
-    locals until it exits, so observers that read the model mid-run
-    (repro.obs sampling per-core IPC from inside ``access_cycles``)
-    need the generic path -- which, per the above, produces identical
-    floats.
+    ``on_entry`` is the segment-entry hook (see :meth:`_Cursor.enter_next`).
+    ``tally(segment)`` optionally returns a per-segment accumulator with
+    ``instructions``, ``cycles``, ``l3_accesses`` and ``demand_latency``
+    fields, which every access of that segment is charged to.
+    ``kernel(design, cursor)`` replays the last active core's segment in
+    one call when the run is unobserved (the batched engine's hook).
     """
-    model = state.model
-    pages = state.pages
-    lines = state.lines
-    writes = state.writes
-    gaps = state.gaps
-    pos = state.pos
-    length = state.length
-    core_id = state.core_id
-    process_id = state.process_id
+    access_cycles = design.access_cycles  # bind once; called per access
 
-    if not generic and type(model) is CoreTimingModel:
-        base_cpi = model.base_cpi
-        mlp = model.mlp
-        l1_hit = model._l1_hit
-        cycle_ns = model._cycle_ns
-        cycles = model.cycles
-        instructions = model.instructions
-        stall_cycles = model.stall_cycles
-        while pos < length:
-            # advance_instructions(gap)
-            gap = gaps[pos]
-            instructions += gap
-            cycles += gap * base_cpi
-            cost = access_cycles(
-                core_id, process_id, pages[pos], lines[pos], writes[pos],
-                cycles * cycle_ns,
-            )
-            # account_memory(cost)
-            instructions += 1
-            cycles += base_cpi
-            excess = cost - l1_hit
-            if excess > 0:
-                stall = excess / mlp
-                cycles += stall
-                stall_cycles += stall
-            pos += 1
-        model.cycles = cycles
-        model.instructions = instructions
-        model.stall_cycles = stall_cycles
-    else:
-        advance = model.advance_instructions
-        account = model.account_memory
-        while pos < length:
-            advance(gaps[pos])
-            account(access_cycles(
-                core_id, process_id, pages[pos], lines[pos], writes[pos],
-                model.time_ns,
-            ))
-            pos += 1
-    state.pos = pos
+    # Observability hook (repro.obs): installed telemetry sets
+    # ``obs_attach_cores`` to receive the core models for per-window
+    # IPC.  With nothing installed this is one getattr per replay.
+    attach = getattr(design, "obs_attach_cores", None)
+    if attach is not None:
+        attach([(c.core_id, c.model) for c in cursors])
+        kernel = None
+
+    inf = math.inf
+    nextafter = math.nextafter
+    active = [c for c in cursors if c.enter_next(on_entry)]
+    while active:
+        # One pass finds the first-minimum clock (the earliest-bound
+        # core wins ties) and the horizon: the run stops at >= the
+        # clock of any core bound before it, at > any bound after it.
+        # Cores passed over on the way to a new minimum are all bound
+        # before it, and the old minimum is the least of their clocks.
+        index = 0
+        clock = active[0].model.cycles
+        earlier = later = inf
+        for i in range(1, len(active)):
+            other = active[i].model.cycles
+            if other < clock:
+                earlier, later, clock, index = clock, inf, other, i
+            elif other < later:
+                later = other
+        # nextafter turns "stop at > later" into "continue while < limit".
+        limit = nextafter(later, inf)
+        if earlier < limit:
+            limit = earlier
+        cursor = active[index]
+        model = cursor.model
+
+        if (kernel is not None and len(active) == 1
+                and type(model) is CoreTimingModel):
+            kernel(design, cursor)
+        else:
+            tq = tally(cursor.segment) if tally is not None else None
+            advance = model.advance_instructions
+            account = model.account_memory
+            core_id = cursor.core_id
+            process_id = cursor.process_id
+            pages, lines = cursor.pages, cursor.lines
+            writes, gaps = cursor.writes, cursor.gaps
+            pos = cursor.pos
+            length = cursor.length
+            while pos < length:
+                cycles = model.cycles
+                if cycles >= limit:
+                    break
+                instructions = model.instructions
+                advance(gaps[pos])
+                account(access_cycles(
+                    core_id, process_id, pages[pos], lines[pos],
+                    writes[pos], model.time_ns,
+                ))
+                pos += 1
+                if tq is not None:
+                    tq.instructions += model.instructions - instructions
+                    tq.cycles += model.cycles - cycles
+                    if design._last_l3_involved:
+                        tq.l3_accesses += 1
+                        tq.demand_latency.observe(
+                            design._last_l3_cycles * model._cycle_ns)
+            cursor.pos = pos
+
+        if cursor.pos >= cursor.length and not cursor.enter_next(on_entry):
+            del active[index]  # preserves the bind order of the rest
 
 
 def run_interleaved(
     design: MemorySystemDesign,
     bindings: List[BoundTrace],
-    max_accesses: Optional[int] = None,
     _kernel=None,
 ) -> List[CoreResult]:
     """Replay every bound trace to completion; returns per-core results.
 
-    ``max_accesses`` optionally truncates each trace (handy for tests).
-    ``_kernel`` is the batched engine's hook (see :mod:`repro.cpu.batched`):
-    a fused ``kernel(design, state)`` replacement for :func:`_run_single`
-    used in the single-active-core regime when the run is unobserved.
+    ``_kernel`` is the batched engine's hook (see :mod:`repro.cpu.batched`).
     """
     if not bindings:
         return []
@@ -161,72 +199,22 @@ def run_interleaved(
         seen_cores.add(binding.core_id)
 
     core_cfg = design.config.core
-    states = []
-    for binding in bindings:
-        trace = binding.trace
-        pages, lines, writes, gaps = trace.as_lists()
-        if max_accesses is not None:
-            pages = pages[:max_accesses]
-            lines = lines[:max_accesses]
-            writes = writes[:max_accesses]
-            gaps = gaps[:max_accesses]
-        model = make_core_model(core_cfg, trace.base_cpi, trace.mlp,
-                                design.config.l1.hit_cycles)
-        states.append(_CoreState(binding, model, pages, lines, writes, gaps))
-
-    active = [s for s in states if s.length > 0]
-    access_cycles = design.access_cycles  # bind once; called per access
-
-    # Observability hook (repro.obs): installed telemetry sets
-    # ``obs_attach_cores`` to receive the core models for per-window
-    # IPC.  Attached cores force _run_single's generic branch so the
-    # models stay readable mid-run; with nothing installed this is one
-    # getattr per run.
-    attach = getattr(design, "obs_attach_cores", None)
-    if attach is not None:
-        attach([(s.core_id, s.model) for s in states])
-
-    # Multi-core regime: step the earliest core one access at a time.
-    # (4 cores: a linear argmin scan beats a heap.)  Ties go to the
-    # earliest-bound core, matching min()'s first-minimum semantics.
-    while len(active) > 1:
-        best = active[0]
-        best_index = 0
-        best_clock = best.model.cycles
-        for index in range(1, len(active)):
-            state = active[index]
-            clock = state.model.cycles
-            if clock < best_clock:
-                best = state
-                best_index = index
-                best_clock = clock
-        model = best.model
-        pos = best.pos
-        model.advance_instructions(best.gaps[pos])
-        model.account_memory(access_cycles(
-            best.core_id, best.process_id, best.pages[pos], best.lines[pos],
-            best.writes[pos], model.time_ns,
-        ))
-        best.pos = pos + 1
-        if best.pos >= best.length:
-            del active[best_index]  # preserves scan order of the rest
-
-    # Single-core regime (or tail of a multi-core run): tight loop.
-    if active:
-        state = active[0]
-        if (_kernel is not None and attach is None
-                and type(state.model) is CoreTimingModel):
-            _kernel(design, state)
-        else:
-            _run_single(state, access_cycles, generic=attach is not None)
-
+    cursors = [
+        _Cursor(binding.core_id,
+                make_core_model(core_cfg, binding.trace.base_cpi,
+                                binding.trace.mlp,
+                                design.config.l1.hit_cycles),
+                [binding])
+        for binding in bindings
+    ]
+    _replay(design, cursors, kernel=_kernel)
     return [
         CoreResult(
-            core_id=s.core_id,
-            workload=s.workload,
-            instructions=s.model.instructions,
-            cycles=s.model.cycles,
-            stall_cycles=s.model.stall_cycles,
+            core_id=binding.core_id,
+            workload=binding.trace.name,
+            instructions=c.model.instructions,
+            cycles=c.model.cycles,
+            stall_cycles=c.model.stall_cycles,
         )
-        for s in states
+        for binding, c in zip(bindings, cursors)
     ]

@@ -147,36 +147,6 @@ class Simulator:
             else run_interleaved
         if not (0.0 <= warmup_fraction < 1.0):
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if validate is None:
-            validate = validation_enabled()
-        design = self.build_design(design_name)
-        if resize_schedule:
-            # ``(at_access, capacity)`` events for runtime-resizable
-            # designs; other designs ignore the schedule so design
-            # sweeps can share one spec.
-            arm = getattr(design, "set_resize_schedule", None)
-            if arm is not None:
-                arm(resize_schedule,
-                    max_remap_per_resize=max_remap_per_resize)
-        checker = None
-        if validate:
-            every = (check_interval() if validate_every is None
-                     else validate_every)
-            checker = InvariantChecker(design, every=every)
-            checker.install()  # before run_interleaved binds access_cycles
-        if non_cacheable and isinstance(design, TaglessDesign):
-            for process_id, pages in non_cacheable.items():
-                for virtual_page in pages:
-                    design.set_non_cacheable(process_id, virtual_page)
-        if caching_policy is not None and isinstance(design, TaglessDesign):
-            design.set_caching_policy(caching_policy)
-        if superpages:
-            # process id -> [(base_vpn, order), ...]: map the regions
-            # before any access touches them (all designs support this).
-            for process_id, regions in superpages.items():
-                table = design.page_table(process_id)
-                for base_vpn, order in regions:
-                    table.map_superpage(base_vpn, order)
 
         bindings = list(bindings)
         if max_accesses is not None:
@@ -185,56 +155,54 @@ class Simulator:
                            b.trace.head(max_accesses))
                 for b in bindings
             ]
-        if warmup_fraction > 0.0:
-            warm, measured = [], []
-            for binding in bindings:
-                # Materialize the parent's list cache before slicing:
-                # both halves then inherit shared slices of it
-                # (AccessTrace.slice's seeded path), so repeated runs
-                # of the same trace never re-convert the numpy columns.
-                binding.trace.as_lists()
-                split = int(len(binding.trace) * warmup_fraction)
-                warm.append(
-                    BoundTrace(binding.core_id, binding.process_id,
-                               binding.trace.slice(0, split))
-                )
-                measured.append(
-                    BoundTrace(binding.core_id, binding.process_id,
-                               binding.trace.slice(split, len(binding.trace)))
-                )
-            replay(design, warm)
-            design.reset_stats()
-            bindings = measured
-        if telemetry is not None:
-            # After warmup (observe the measured window only), before
-            # run_interleaved binds access_cycles.  The sampling wrapper
-            # goes on top of the checker's, so it is removed first.
-            telemetry.install(design)
-            if checker is not None:
-                checker.tracer = telemetry.tracer
-        cores = replay(design, bindings)
-        if telemetry is not None:
-            telemetry.uninstall()
-        if checker is not None:
-            checker.run_checks()  # final sweep over the end-of-run state
-            checker.uninstall()
-        elapsed_ns = max((c.cycles for c in cores), default=0.0)
-        elapsed_ns /= self.config.core.frequency_ghz
-        energy = compute_energy(design, cores, elapsed_ns)
-        return SimulationResult(
-            design_name=design_name,
-            cores=cores,
-            elapsed_ns=elapsed_ns,
-            mean_l3_latency_cycles=design.mean_l3_latency_cycles(),
-            energy=energy,
-            stats=design.stats(),
-            resize_events=self._resize_ledger(design),
-        )
 
-    def run_batched(self, design_name: str, bindings: Sequence[BoundTrace],
-                    **kwargs) -> SimulationResult:
-        """:meth:`run` under the batched engine (same results, faster)."""
-        return self.run(design_name, bindings, engine="batched", **kwargs)
+        def prepare(design: MemorySystemDesign) -> None:
+            nonlocal bindings
+            if non_cacheable and isinstance(design, TaglessDesign):
+                for process_id, pages in non_cacheable.items():
+                    for virtual_page in pages:
+                        design.set_non_cacheable(process_id, virtual_page)
+            if caching_policy is not None and isinstance(design,
+                                                         TaglessDesign):
+                design.set_caching_policy(caching_policy)
+            if superpages:
+                # process id -> [(base_vpn, order), ...]: map the
+                # regions before any access touches them (all designs
+                # support this).
+                for process_id, regions in superpages.items():
+                    table = design.page_table(process_id)
+                    for base_vpn, order in regions:
+                        table.map_superpage(base_vpn, order)
+            if warmup_fraction > 0.0:
+                warm, measured = [], []
+                for binding in bindings:
+                    # Materialize the parent's list cache before
+                    # slicing: both halves then inherit shared slices
+                    # of it (AccessTrace.slice's seeded path), so
+                    # repeated runs of the same trace never re-convert
+                    # the numpy columns.
+                    binding.trace.as_lists()
+                    split = int(len(binding.trace) * warmup_fraction)
+                    warm.append(BoundTrace(
+                        binding.core_id, binding.process_id,
+                        binding.trace.slice(0, split)))
+                    measured.append(BoundTrace(
+                        binding.core_id, binding.process_id,
+                        binding.trace.slice(split, len(binding.trace))))
+                replay(design, warm)
+                design.reset_stats()
+                bindings = measured
+
+        return self._simulate(
+            design_name,
+            lambda design: (replay(design, bindings), {}, None),
+            resize_schedule=resize_schedule,
+            max_remap_per_resize=max_remap_per_resize,
+            validate=validate,
+            validate_every=validate_every,
+            telemetry=telemetry,
+            prepare=prepare,
+        )
 
     @staticmethod
     def _resize_ledger(design) -> Optional[List[Dict[str, object]]]:
@@ -276,38 +244,82 @@ class Simulator:
                 f"{self.config.off_package_pages}; shrink the tenant "
                 "count/footprints or grow the machine"
             )
+
+        def replay(design: MemorySystemDesign):
+            cores, qos, switch_stats = run_schedule(design, schedule)
+            stats = {
+                "context_switches": float(switch_stats["context_switches"]),
+                "context_switch_tlb_entries": float(
+                    switch_stats["tlb_flush_entries"]),
+            }
+            return cores, stats, [qos[tid].to_dict() for tid in sorted(qos)]
+
+        return self._simulate(
+            design_name,
+            replay,
+            resize_schedule=scenario.resize,
+            max_remap_per_resize=scenario.max_remap_per_resize,
+            validate=validate,
+            validate_every=validate_every,
+            telemetry=telemetry,
+        )
+
+    def _simulate(
+        self,
+        design_name: str,
+        replay,
+        resize_schedule,
+        max_remap_per_resize: int,
+        validate: Optional[bool],
+        validate_every: Optional[int],
+        telemetry,
+        prepare=None,
+    ) -> SimulationResult:
+        """Shared body of :meth:`run` and :meth:`run_tenants`.
+
+        Builds the design through :meth:`build_design`, arms its resize
+        schedule, installs the invariant checker, lets ``prepare(design)``
+        set up and warm it, installs telemetry for the measured window,
+        and assembles the result.  ``replay(design)`` performs the
+        measured replay and returns ``(cores, extra_stats, tenants)``.
+        """
         if validate is None:
             validate = validation_enabled()
         design = self.build_design(design_name)
-        if scenario.resize:
+        if resize_schedule:
+            # ``(at_access, capacity)`` events for runtime-resizable
+            # designs; other designs ignore the schedule so design
+            # sweeps can share one spec.
             arm = getattr(design, "set_resize_schedule", None)
             if arm is not None:
-                arm(scenario.resize,
-                    max_remap_per_resize=scenario.max_remap_per_resize)
+                arm(resize_schedule,
+                    max_remap_per_resize=max_remap_per_resize)
         checker = None
         if validate:
             every = (check_interval() if validate_every is None
                      else validate_every)
             checker = InvariantChecker(design, every=every)
-            checker.install()  # before run_schedule binds access_cycles
+            checker.install()  # before the replay binds access_cycles
+        if prepare is not None:
+            prepare(design)
         if telemetry is not None:
+            # After warmup (observe the measured window only), before
+            # the replay binds access_cycles.  The sampling wrapper goes
+            # on top of the checker's, so it is removed first.
             telemetry.install(design)
             if checker is not None:
                 checker.tracer = telemetry.tracer
-        cores, qos, switch_stats = run_schedule(design, schedule)
+        cores, extra_stats, tenants = replay(design)
         if telemetry is not None:
             telemetry.uninstall()
         if checker is not None:
-            checker.run_checks()
+            checker.run_checks()  # final sweep over the end-of-run state
             checker.uninstall()
         elapsed_ns = max((c.cycles for c in cores), default=0.0)
         elapsed_ns /= self.config.core.frequency_ghz
         energy = compute_energy(design, cores, elapsed_ns)
         stats = design.stats()
-        stats["context_switches"] = float(switch_stats["context_switches"])
-        stats["context_switch_tlb_entries"] = float(
-            switch_stats["tlb_flush_entries"]
-        )
+        stats.update(extra_stats)
         return SimulationResult(
             design_name=design_name,
             cores=cores,
@@ -315,6 +327,6 @@ class Simulator:
             mean_l3_latency_cycles=design.mean_l3_latency_cycles(),
             energy=energy,
             stats=stats,
-            tenants=[qos[tid].to_dict() for tid in sorted(qos)],
+            tenants=tenants,
             resize_events=self._resize_ledger(design),
         )

@@ -76,7 +76,7 @@ class TimeseriesRecorder:
     def install(self, design) -> None:
         """Shadow ``design.access_cycles`` with the sampling wrapper.
 
-        Must run before ``run_interleaved`` binds ``access_cycles``.  If
+        Must run before the replay driver binds ``access_cycles``.  If
         an invariant checker is already installed its wrapper is what we
         wrap, and :meth:`uninstall` restores it rather than deleting it.
         """
@@ -144,7 +144,7 @@ class TimeseriesRecorder:
         self._installed = False
 
     def attach_cores(self, cores) -> None:
-        """Receive ``[(core_id, model), ...]`` from ``run_interleaved``
+        """Receive ``[(core_id, model), ...]`` from the replay driver
         so windows can carry per-core IPC."""
         self._cores = list(cores)
         self._core_prev = {

@@ -137,6 +137,25 @@ class TenantScenarioSpec:
     def effective_seed(self) -> int:
         return self.seed if self.seed is not None else rng.BASE_SEED
 
+    def max_span_pages(self) -> int:
+        """Upper bound on the off-package span of any schedule built
+        from this scenario, whatever the seed.
+
+        Each tenant's VPN window is sized from its footprint (see
+        :func:`build_schedule`); the bound gives every tenant the
+        largest footprint any of the scenario's profiles has at that
+        tenant's scale.  No trace is generated, so a spec can be checked
+        against a machine as it loads.
+        """
+        return sum(
+            _window_pages(max(
+                spec_profile(name).footprint_pages(
+                    _tenant_scale(self, tenant_id))
+                for name in self.profiles
+            ))
+            for tenant_id in range(self.tenants)
+        )
+
     def to_dict(self) -> Dict[str, object]:
         data = dataclasses.asdict(self)
         data["profiles"] = list(self.profiles)
@@ -261,6 +280,12 @@ def _tenant_scale(scenario: TenantScenarioSpec, tenant_id: int) -> int:
     )))
 
 
+def _window_pages(footprint_pages: int) -> int:
+    """Pages of a tenant's private VPN window: the generator emits pages
+    in [0, ~3 * footprint), plus a guard margin."""
+    return 3 * footprint_pages + VPN_WINDOW_MARGIN
+
+
 def build_schedule(
     scenario: TenantScenarioSpec,
     num_cores: int,
@@ -306,9 +331,8 @@ def build_schedule(
             seed_tag=("tenants", scenario.name, tenant_id, tenant_seed),
         )
         trace = generator.generate(accesses=demand)
-        # Private VPN window: the generator emits pages in
-        # [0, ~3 * footprint); shift each tenant past its predecessors.
-        span = 3 * generator.footprint + VPN_WINDOW_MARGIN
+        # Private VPN window: shift each tenant past its predecessors.
+        span = _window_pages(generator.footprint)
         shifted = AccessTrace(
             name=trace.name,
             virtual_pages=trace.virtual_pages + vpn_base,

@@ -1,5 +1,7 @@
 """Campaign expansion and execution through the harness."""
 
+import json
+
 import pytest
 
 from repro.campaign.compile import (
@@ -79,6 +81,53 @@ class TestExpand:
                              "workload": ["mcf"]}, baseline=None)
         with pytest.raises(ConfigurationError, match="hal9000"):
             expand(bad)
+
+
+class TestScenarioFeasibility:
+    """A scenario that cannot fit the machine fails as the study loads."""
+
+    SCENARIO = {
+        "name": "wide",
+        "tenants": 48,
+        "profiles": ["mcf", "lbm"],
+        "tenant_accesses": 100,
+        "quantum": 50,
+        "capacity_scale": 512,
+    }
+
+    def tenant_study(self, tmp_path, scale):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        return study(
+            factors={"design": ["tagless", "no-l3"]},
+            fixed={"scenario": str(path), "cache_mb": 256, "scale": scale,
+                   "cores": 4},
+        )
+
+    def test_infeasible_study_fails_at_load(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="off-package"):
+            expand(self.tenant_study(tmp_path, scale=512))
+
+    def test_feasible_study_expands(self, tmp_path):
+        assert len(expand(self.tenant_study(tmp_path, scale=64))) == 4
+
+    def test_missing_scenario_fails_at_load(self, tmp_path):
+        spec = study(factors={"design": ["tagless", "no-l3"]},
+                     fixed={"scenario": str(tmp_path / "absent.json")})
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            expand(spec)
+
+    def test_cli_rejects_before_dispatch(self, tmp_path):
+        from repro.cli.main import main
+
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(
+            self.tenant_study(tmp_path, scale=512).to_dict()))
+        out_dir = tmp_path / "camp"
+        with pytest.raises(SystemExit, match="bad study"):
+            main(["campaign", "run", str(path), "--out", str(out_dir),
+                  "--jobs", "1", "--no-cache"])
+        assert not out_dir.exists()
 
 
 class TestRunCampaign:

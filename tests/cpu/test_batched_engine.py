@@ -65,13 +65,17 @@ def test_batched_bit_identical_quad_core(design):
     assert _snapshot(scalar) == _snapshot(batched)
 
 
-def test_run_batched_convenience_method():
+def test_batched_truncated_run_matches_scalar():
+    """``max_accesses`` truncates with ``trace.head`` under both engines."""
     simulator = Simulator(default_system(cache_megabytes=256, num_cores=1,
                                          capacity_scale=64))
     bindings = _single_core_bindings()
-    direct = simulator.run("tagless", bindings, engine="batched")
-    convenience = simulator.run_batched("tagless", bindings)
-    assert _snapshot(direct) == _snapshot(convenience)
+    scalar = simulator.run("tagless", bindings, max_accesses=1_000,
+                           engine="scalar")
+    batched = simulator.run("tagless", bindings, max_accesses=1_000,
+                            engine="batched")
+    assert _snapshot(scalar) == _snapshot(batched)
+    assert scalar.stats["accesses"] == 750  # measured 3/4 of 1,000
 
 
 def test_unknown_engine_rejected():

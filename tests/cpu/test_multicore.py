@@ -74,8 +74,7 @@ def test_interleaving_keeps_clocks_close(small_mp_config):
 def test_max_accesses_truncates(small_config):
     design = create_design("no-l3", small_config)
     trace = make_trace("t", list(range(50)))
-    results = run_interleaved(design, [BoundTrace(0, 0, trace)],
-                              max_accesses=10)
+    results = run_interleaved(design, [BoundTrace(0, 0, trace.head(10))])
     assert design.accesses == 10
     assert results[0].instructions == 10 * 21  # 10 gaps of 20 + 10 mem ops
 

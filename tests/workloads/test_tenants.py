@@ -155,3 +155,15 @@ class TestScheduleStructure:
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigurationError, match="at least one core"):
             build_schedule(scenario(), num_cores=0)
+
+    def test_max_span_pages_bounds_every_seed(self):
+        """The load-time bound holds whatever profiles the seed draws,
+        and is tight when a scenario has a single profile."""
+        spec = scenario(profiles=("mcf", "sphinx3", "lbm"), seed=None)
+        bound = spec.max_span_pages()
+        for seed in range(6):
+            schedule = build_schedule(spec, num_cores=2, base_seed=seed)
+            assert schedule.total_span_pages <= bound
+        single = scenario(profiles=("lbm",))
+        assert (build_schedule(single, num_cores=2).total_span_pages
+                == single.max_span_pages())
