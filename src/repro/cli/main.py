@@ -23,13 +23,13 @@ from repro.harness import (
     ResultCache,
     RunArtifact,
     default_artifact_path,
-    infer_workload_kind,
+    execute_job,
     load_resume_map,
     resolve_cache_dir,
     run_jobs,
 )
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.mixes import MIX_ORDER, MIXES, mix_traces
+from repro.workloads.mixes import MIX_ORDER, MIXES
 from repro.workloads.parsec import PARSEC_ORDER, PARSEC_PROFILES
 from repro.workloads.spec import SPEC_ORDER, SPEC_PROFILES
 from repro.workloads.trace import save_trace
@@ -70,8 +70,37 @@ def _machine_from_args(args: argparse.Namespace) -> MachineSpec:
         raise SystemExit(str(exc)) from None
 
 
-def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
-    """Execution-engine flags shared by ``experiment`` and ``sweep``."""
+def _add_point_arguments(parser: argparse.ArgumentParser,
+                         accesses: Optional[int], accesses_help: str,
+                         cache_mb: bool = True) -> None:
+    """Point flags shared by run/trace/profile/sweep (JobSpec fields)."""
+    parser.add_argument("--accesses", type=int, default=accesses,
+                        help=accesses_help)
+    if cache_mb:
+        parser.add_argument("--cache-mb", type=int, default=1024,
+                            help="nominal DRAM cache size in MB "
+                                 "(default 1024)")
+    parser.add_argument("--scale", type=int, default=64,
+                        help="capacity scale-down factor (default 64)")
+    parser.add_argument("--replacement", default="fifo",
+                        choices=("fifo", "lru", "clock"),
+                        help="victim selection policy (default fifo)")
+    parser.add_argument("--warmup", type=float, default=0.25,
+                        help="fraction of each trace that warms state "
+                             "unmeasured (default 0.25)")
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    """``--engine``, shared by run/experiment/sweep."""
+    parser.add_argument("--engine", choices=ENGINE_MODES, default=None,
+                        help="execution engine: scalar (per-access loop) "
+                             "or batched (fused kernels; bit-identical, "
+                             "faster).  Default: $REPRO_ENGINE, else "
+                             "scalar")
+
+
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Harness flags shared by experiment/sweep/campaign run/resume."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = serial, the default)")
     parser.add_argument("--cache-dir", default=None,
@@ -92,33 +121,10 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="delay before the first retry, doubling each "
                              "further attempt (default 0.5)")
-    parser.add_argument("--resume", default=None, metavar="ARTIFACT",
-                        help="seed completed points from a prior run's "
-                             "JSONL artifact; only missing/failed points "
-                             "are recomputed")
     parser.add_argument("--resume-strict", action="store_true",
-                        help="with --resume: skip artifact rows recorded "
+                        help="when resuming, skip artifact rows recorded "
                              "by a different code fingerprint (default: "
                              "accept them with a warning)")
-    parser.add_argument("--trace", dest="trace_out", default=None,
-                        metavar="PATH",
-                        help="write a Perfetto JSON trace of the harness "
-                             "job lifecycle to PATH")
-    parser.add_argument("--timeseries", dest="timeseries_out", default=None,
-                        metavar="PATH",
-                        help="write a JSONL progress time-series "
-                             "(jobs/errors/cache hits over wall time) to "
-                             "PATH")
-    parser.add_argument("--engine", choices=ENGINE_MODES, default=None,
-                        help="execution engine: scalar (per-access loop) "
-                             "or batched (fused kernels; bit-identical, "
-                             "faster).  Default: $REPRO_ENGINE, else "
-                             "scalar")
-    _add_fleet_arguments(parser)
-
-
-def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fleet-observability flags shared by sweep/experiment/campaign."""
     parser.add_argument("--live", action="store_true",
                         help="replace the progress lines with a live "
                              "per-worker dashboard fed by worker "
@@ -130,6 +136,25 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
                              "to PATH on exit; a .prom suffix selects "
                              "Prometheus text exposition, anything else "
                              "JSONL")
+
+
+def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
+    """``experiment``/``sweep``: the execution flags plus the extras."""
+    _add_execution_arguments(parser)
+    parser.add_argument("--resume", default=None, metavar="ARTIFACT",
+                        help="seed completed points from a prior run's "
+                             "JSONL artifact; only missing/failed points "
+                             "are recomputed")
+    parser.add_argument("--trace", dest="trace_out", default=None,
+                        metavar="PATH",
+                        help="write a Perfetto JSON trace of the harness "
+                             "job lifecycle to PATH")
+    parser.add_argument("--timeseries", dest="timeseries_out", default=None,
+                        metavar="PATH",
+                        help="write a JSONL progress time-series "
+                             "(jobs/errors/cache hits over wall time) to "
+                             "PATH")
+    _add_engine_argument(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,17 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload", nargs="?", default=None,
                        help="workload for capture mode "
                             "(SPEC/PARSEC program or MIX1..MIX8)")
-    trace.add_argument("--accesses", type=int, default=None,
-                       help="trace length (default: 100k generate, "
-                            "20k capture, 2k smoke)")
-    trace.add_argument("--scale", type=int, default=64,
-                       help="capacity scale factor (default 64)")
+    _add_point_arguments(trace, None, "trace length (default: 100k "
+                                      "generate, 20k capture, 2k smoke)")
     trace.add_argument("--out", help="save as .npz to this path "
                                      "(generate mode)")
-    trace.add_argument("--cache-mb", type=int, default=1024)
-    trace.add_argument("--replacement", default="fifo",
-                       choices=("fifo", "lru", "clock"))
-    trace.add_argument("--warmup", type=float, default=0.25)
     trace.add_argument("--interval", type=int, default=1024,
                        help="time-series window size (default 1024)")
     trace.add_argument("--interval-unit", default="accesses",
@@ -187,14 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("design", choices=ALL_DESIGN_NAMES)
     run.add_argument("workload",
                      help="SPEC/PARSEC program or MIX1..MIX8")
-    run.add_argument("--accesses", type=int, default=100_000)
-    run.add_argument("--cache-mb", type=int, default=1024)
-    run.add_argument("--scale", type=int, default=64)
-    run.add_argument("--replacement", default="fifo",
-                     choices=("fifo", "lru", "clock"))
-    run.add_argument("--warmup", type=float, default=0.25,
-                     help="fraction of each trace that warms state "
-                          "unmeasured (default 0.25)")
+    _add_point_arguments(run, 100_000,
+                         "per-core trace length (default 100k)")
     run.add_argument("--json", action="store_true",
                      help="emit metrics as JSON")
     run.add_argument("--trace", dest="trace_out", default=None,
@@ -216,10 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--retries", type=int, default=0,
                      help="extra attempts if the run fails (supervised "
                           "mode, like --timeout)")
-    run.add_argument("--engine", choices=ENGINE_MODES, default=None,
-                     help="execution engine: scalar (per-access loop) or "
-                          "batched (fused kernels; bit-identical, "
-                          "faster).  Default: $REPRO_ENGINE, else scalar")
+    _add_engine_argument(run)
     _add_machine_arguments(run)
 
     experiment = sub.add_parser(
@@ -254,12 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SPEC/PARSEC programs or MIX1..MIX8")
     sweep.add_argument("--cache-sizes", nargs="+", type=int, default=[1024],
                        metavar="MB", help="nominal cache sizes in MB")
-    sweep.add_argument("--accesses", type=int, default=50_000,
-                       help="per-core trace length (default 50k)")
-    sweep.add_argument("--scale", type=int, default=64)
-    sweep.add_argument("--replacement", default="fifo",
-                       choices=("fifo", "lru", "clock"))
-    sweep.add_argument("--warmup", type=float, default=0.25)
+    _add_point_arguments(sweep, 50_000,
+                         "per-core trace length (default 50k)",
+                         cache_mb=False)
     sweep.add_argument("--out", default="sweep.jsonl",
                        help="JSONL artifact path (default sweep.jsonl)")
     sweep.add_argument("--json", action="store_true",
@@ -277,30 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command",
                                            required=True)
-
-    def _campaign_exec_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (1 = serial)")
-        parser.add_argument("--cache-dir", default=None,
-                            help="result-cache root (default ~/.cache/"
-                                 "repro, or $REPRO_CACHE_DIR)")
-        parser.add_argument("--no-cache", action="store_true",
-                            help="compute every point fresh")
-        parser.add_argument("--timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="per-job wall-clock budget")
-        parser.add_argument("--retries", type=int, default=0,
-                            help="extra attempts per failed job")
-        parser.add_argument("--retry-backoff", type=float, default=0.5,
-                            metavar="SECONDS",
-                            help="first retry delay, doubling per attempt")
-        parser.add_argument("--resume-strict", action="store_true",
-                            help="when resuming, skip artifact rows "
-                                 "recorded by a different code "
-                                 "fingerprint instead of warning")
-        parser.add_argument("--json", action="store_true",
-                            help="print the run summary as JSON")
-        _add_fleet_arguments(parser)
 
     campaign_run = campaign_sub.add_parser(
         "run", help="execute a study spec end to end and write reports"
@@ -327,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
              "problem)"
     )
     _add_machine_arguments(campaign_run)
-    _campaign_exec_arguments(campaign_run)
 
     campaign_resume = campaign_sub.add_parser(
         "resume", help="continue an interrupted campaign directory"
@@ -335,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_resume.add_argument(
         "dir", help="campaign directory holding spec.json + jobs.jsonl"
     )
-    _campaign_exec_arguments(campaign_resume)
+    for executing in (campaign_run, campaign_resume):
+        _add_execution_arguments(executing)
+        executing.add_argument("--json", action="store_true",
+                               help="print the run summary as JSON")
 
     campaign_report = campaign_sub.add_parser(
         "report",
@@ -357,12 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=ALL_DESIGN_NAMES)
     profile.add_argument("--workload", default="mcf",
                          help="SPEC/PARSEC program or MIX1..MIX8")
-    profile.add_argument("--accesses", type=int, default=100_000)
-    profile.add_argument("--cache-mb", type=int, default=1024)
-    profile.add_argument("--scale", type=int, default=64)
-    profile.add_argument("--replacement", default="fifo",
-                         choices=("fifo", "lru", "clock"))
-    profile.add_argument("--warmup", type=float, default=0.25)
+    _add_point_arguments(profile, 100_000,
+                         "per-core trace length (default 100k)")
     profile.add_argument("--top", type=int, default=25,
                          help="rows to report (default 25)")
     profile.add_argument("--sort", default="cumulative",
@@ -557,24 +537,13 @@ def _trace_capture(args: argparse.Namespace) -> int:
         raise SystemExit(
             "capture mode needs a workload: repro trace <design> <workload>"
         )
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
     if args.interval < 1:
         raise SystemExit("--interval must be >= 1")
     accesses = args.accesses if args.accesses is not None else 20_000
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if args.workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(args.workload, accesses, args.scale)
+    spec = _point_spec(args, args.target, args.workload, accesses)
     telemetry = make_telemetry(interval=args.interval,
                                unit=args.interval_unit)
-    result = Simulator(config).run(
-        args.target, bindings, warmup_fraction=args.warmup,
-        telemetry=telemetry,
-    )
+    result = execute_job(spec, telemetry=telemetry)
     stem = f"{args.target}-{args.workload}"
     trace_path = args.trace_out or f"{stem}.perfetto.json"
     timeseries_path = args.timeseries_out or f"{stem}.timeseries.jsonl"
@@ -668,14 +637,8 @@ def _trace_smoke(args: argparse.Namespace) -> int:
         designs = (args.target,)
     workload = args.workload or "mcf"
     accesses = args.accesses if args.accesses is not None else 2000
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(workload, accesses, args.scale)
-    simulator = Simulator(config)
+    spec = _point_spec(args, designs[0], workload, accesses)
+    bindings = spec.bindings()
     failures = 0
     print(f"trace smoke: {len(designs)} designs x {accesses} accesses "
           f"({workload})")
@@ -686,8 +649,8 @@ def _trace_smoke(args: argparse.Namespace) -> int:
             telemetry = make_telemetry(
                 interval=max(1, accesses // 8), unit=args.interval_unit,
             )
-            simulator.run(design, bindings, warmup_fraction=args.warmup,
-                          telemetry=telemetry)
+            execute_job(dataclasses.replace(spec, design=design),
+                        bindings=bindings, telemetry=telemetry)
             trace_path = os.path.join(tmp, f"{design}.perfetto.json")
             timeseries_path = os.path.join(
                 tmp, f"{design}.timeseries.jsonl"
@@ -707,92 +670,67 @@ def _trace_smoke(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _bindings_for(workload: str, accesses: int, scale: int) -> List[BoundTrace]:
-    """Trace bindings for a single program or a MIX (shared by run/profile)."""
-    if workload in MIXES:
-        traces = mix_traces(workload, accesses_per_program=accesses,
-                            capacity_scale=scale)
-        return [BoundTrace(i, i, t) for i, t in enumerate(traces)]
-    profile = _profile_for(workload)
-    trace = TraceGenerator(profile, capacity_scale=scale).generate(accesses)
-    return [BoundTrace(0, 0, trace)]
+def _point_spec(args: argparse.Namespace, design: str, workload: str,
+                accesses: int, **fields) -> JobSpec:
+    """The one JobSpec a single-point command's flags describe.
 
-
-def _run_supervised(args: argparse.Namespace):
-    """Execute ``repro run`` through the fault-tolerant harness.
-
-    Used when ``--timeout``/``--retries`` are given: the simulation runs
-    in a killable worker process, so a hang ends after the budget
-    instead of wedging the terminal.  Simulator-level telemetry cannot
-    cross the process boundary, hence the ``--trace``/``--timeseries``
-    incompatibility.
+    The machine is resolved once here, so an impossible one (say, a
+    cache scaled below the simulation floor) is refused with a one-line
+    message before any trace is generated.
     """
-    if args.trace_out or args.timeseries_out:
+    try:
+        spec = JobSpec(
+            design=design,
+            workload=workload,
+            accesses=accesses,
+            cache_megabytes=args.cache_mb,
+            replacement=args.replacement,
+            capacity_scale=args.scale,
+            warmup_fraction=args.warmup,
+            **fields,
+        )
+        spec.system_config()
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
+    return spec
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    if args.retries < 0:
+        raise SystemExit("--retries must be >= 0")
+    supervised = args.timeout is not None or args.retries > 0
+    capture = bool(args.trace_out or args.timeseries_out)
+    if supervised and capture:
+        # Simulator-level telemetry cannot cross the worker boundary.
         raise SystemExit(
             "--timeout/--retries run in a worker process and cannot "
             "capture --trace/--timeseries telemetry; drop one or the "
             "other"
         )
-    try:
-        spec = JobSpec(
-            design=args.design,
-            workload=args.workload,
-            accesses=args.accesses,
-            cache_megabytes=args.cache_mb,
-            num_cores=4 if args.workload in MIXES else 1,
-            replacement=args.replacement,
-            capacity_scale=args.scale,
-            warmup_fraction=args.warmup,
-            timeout_s=args.timeout,
-            engine=args.engine,
-            machine=_machine_from_args(args),
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    outcome = run_jobs([spec], jobs=1, retries=args.retries)[0]
-    if not outcome.ok:
-        print(f"{spec.label} {outcome.status}: {outcome.error}",
-              file=sys.stderr)
-        if outcome.error_detail:
-            print(outcome.error_detail, file=sys.stderr)
-        raise SystemExit(1)
-    return outcome.result
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive")
+    spec = _point_spec(args, args.design, args.workload, args.accesses,
+                       timeout_s=args.timeout, engine=args.engine,
+                       machine=_machine_from_args(args))
     telemetry = None
-    if args.timeout is not None or args.retries > 0:
-        result = _run_supervised(args)
+    if supervised:
+        # The fault-tolerant harness: with a timeout the point runs in a
+        # killable worker, so a hang ends after the budget instead of
+        # wedging the terminal.
+        outcome = run_jobs([spec], jobs=1, retries=args.retries)[0]
+        if not outcome.ok:
+            print(f"{spec.label} {outcome.status}: {outcome.error}",
+                  file=sys.stderr)
+            if outcome.error_detail:
+                print(outcome.error_detail, file=sys.stderr)
+            raise SystemExit(1)
+        result = outcome.result
     else:
-        machine = _machine_from_args(args)
-        try:
-            config = build_system(
-                machine=machine,
-                cache_megabytes=args.cache_mb,
-                num_cores=4 if args.workload in MIXES else 1,
-                replacement=args.replacement,
-                capacity_scale=args.scale,
-            )
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-        bindings = _bindings_for(args.workload, args.accesses, args.scale)
-
-        if args.trace_out or args.timeseries_out:
+        if capture:
             from repro.obs import make_telemetry
 
             if args.interval < 1:
                 raise SystemExit("--interval must be >= 1")
             telemetry = make_telemetry(interval=args.interval)
-        result = Simulator(config).run(
-            args.design, bindings, warmup_fraction=args.warmup,
-            telemetry=telemetry, engine=args.engine,
-        )
+        result = execute_job(spec, telemetry=telemetry)
     metrics = {
         "design": args.design,
         "workload": args.workload,
@@ -805,11 +743,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "energy_j": result.total_energy_j,
         "edp_js": result.edp,
     }
-    machine_spec = _machine_from_args(args)
-    if not machine_spec.is_default:
+    if not spec.machine.is_default:
         # Key appears only when the machine was customised, so default
         # invocations keep byte-identical output.
-        metrics["machine"] = machine_spec.to_dict()
+        metrics["machine"] = spec.machine.to_dict()
     if telemetry is not None:
         # Keys appear only when capture was requested, so the default
         # output stays byte-identical.
@@ -862,9 +799,9 @@ LIVE_HEARTBEAT_S = 0.5
 def _install_metrics(args: argparse.Namespace) -> None:
     """Arm the global metrics registry when ``--metrics`` asks for it.
 
-    Must run before any instrumented object (cache, pool, arena) is
-    constructed: instruments are fetched at construction time.  Without
-    the flag the registry keeps its ``$REPRO_METRICS`` default.
+    Runs before any command does: instruments (cache, pool, arena,
+    campaign expansion) are fetched at construction time.  Without the
+    flag the registry keeps its ``$REPRO_METRICS`` default.
     """
     if getattr(args, "metrics_out", None):
         from repro.obs import MetricsRegistry, set_registry
@@ -920,15 +857,8 @@ def _observer_parts(observer) -> list:
     return list(getattr(observer, "observers", [observer]))
 
 
-def _build_harness(args: argparse.Namespace, name: str,
-                   artifact_path: Optional[str],
-                   total: Optional[int] = None) -> Harness:
-    """Assemble the execution engine from the shared CLI flags.
-
-    Progress and the artifact location go to stderr so stdout carries
-    only the figure tables / JSON -- byte-identical to a serial,
-    uncached invocation.
-    """
+def _check_execution_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range execution flags (see _add_execution_arguments)."""
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     if args.timeout is not None and args.timeout <= 0:
@@ -937,25 +867,43 @@ def _build_harness(args: argparse.Namespace, name: str,
         raise SystemExit("--retries must be >= 0")
     if args.retry_backoff < 0:
         raise SystemExit("--retry-backoff must be >= 0")
-    _install_metrics(args)
-    resume = None
-    if args.resume is not None:
-        resume = _load_resume(args.resume, args.resume_strict)
+
+
+def _build_harness(args: argparse.Namespace, name: str,
+                   artifact_path: Optional[str],
+                   total: Optional[int] = None,
+                   resume: Optional[str] = None,
+                   label: Optional[str] = None,
+                   meta: Optional[dict] = None) -> Harness:
+    """Assemble the execution engine from the shared CLI flags.
+
+    ``name`` names the artifact (and, unless ``label`` is given, the
+    progress lines); ``resume`` is a prior artifact to seed completed
+    points from; ``meta`` replaces the artifact header's default
+    ``jobs``/``cache`` fields.  Progress and the artifact location go
+    to stderr so stdout carries only the figure tables / JSON --
+    byte-identical to a serial, uncached invocation.
+    """
+    _check_execution_args(args)
+    label = label or name
+    if resume is not None:
+        # Fully loaded before the artifact (re)opens for writing, so
+        # resuming over the same file is safe.
+        resume = _load_resume(resume, args.resume_strict)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if artifact_path is None:
         artifact_path = default_artifact_path(
             resolve_cache_dir(args.cache_dir), name
         )
-    artifact = RunArtifact(
-        artifact_path, name=name,
-        meta={"jobs": args.jobs, "cache": not args.no_cache,
-              "argv": sys.argv[1:]},
-    )
+    if meta is None:
+        meta = {"jobs": args.jobs, "cache": not args.no_cache}
+    artifact = RunArtifact(artifact_path, name=name,
+                           meta={**meta, "argv": sys.argv[1:]})
     # --live owns the terminal; the line-per-job reporter keeps counting
     # silently so its end-of-run summary still prints.
-    progress = ProgressReporter(total=total, label=name,
+    progress = ProgressReporter(total=total, label=label,
                                 enabled=not getattr(args, "live", False))
-    observer, heartbeat_s = _fleet_observer(args, name, total)
+    observer, heartbeat_s = _fleet_observer(args, label, total)
     print(f"artifact: {artifact_path}", file=sys.stderr)
     harness = Harness(jobs=args.jobs, cache=cache, progress=progress,
                       artifact=artifact, observer=observer,
@@ -988,7 +936,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         # environment default reaches them (and forked workers) without
         # threading a parameter through every runner signature.
         os.environ["REPRO_ENGINE"] = args.engine
-    harness = _build_harness(args, args.figure, args.artifact)
+    harness = _build_harness(args, args.figure, args.artifact,
+                             resume=args.resume)
     try:
         if args.figure == "fig7":
             result = experiments.run_single_programmed(
@@ -1063,15 +1012,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         for design in args.designs:
             for workload in args.workloads:
-                kind = infer_workload_kind(workload)
                 for size in args.cache_sizes:
                     specs.append(JobSpec(
                         design=design,
                         workload=workload,
-                        workload_kind=kind,
                         accesses=args.accesses,
                         cache_megabytes=size,
-                        num_cores=1 if kind == "spec" else 4,
                         replacement=args.replacement,
                         capacity_scale=args.scale,
                         warmup_fraction=args.warmup,
@@ -1082,7 +1028,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
 
-    harness = _build_harness(args, "sweep", args.out, total=len(specs))
+    harness = _build_harness(args, "sweep", args.out, total=len(specs),
+                             resume=args.resume)
     try:
         outcomes = harness.run(specs)
     finally:
@@ -1160,15 +1107,8 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
     )
     from repro.harness.jobs import code_fingerprint
 
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.retry_backoff < 0:
-        raise SystemExit("--retry-backoff must be >= 0")
-    _install_metrics(args)
+    # Before anything touches the campaign directory.
+    _check_execution_args(args)
     try:
         jobs = expand(spec)
     except ConfigurationError as exc:
@@ -1178,7 +1118,7 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
     spec_path = os.path.join(out_dir, "spec.json")
     artifact_path = os.path.join(out_dir, "jobs.jsonl")
 
-    resume_map = None
+    prior = None
     if resume:
         if os.path.exists(spec_path):
             from repro.campaign import CampaignSpec
@@ -1197,9 +1137,7 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
                     f"resuming"
                 )
         if os.path.exists(artifact_path):
-            # Fully loaded before the artifact reopens for writing, so
-            # resuming over the same jobs.jsonl is safe.
-            resume_map = _load_resume(artifact_path, args.resume_strict)
+            prior = artifact_path
         else:
             print(f"resume: no prior artifact at {artifact_path}; "
                   f"running the full study", file=sys.stderr)
@@ -1208,39 +1146,23 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    artifact = RunArtifact(
-        artifact_path, name=f"campaign-{spec.name}",
-        meta={"campaign": spec.name, "spec_hash": spec.spec_hash(),
-              "argv": sys.argv[1:]},
+    harness = _build_harness(
+        args, f"campaign-{spec.name}", artifact_path, total=len(jobs),
+        resume=prior, label=f"campaign:{spec.name}",
+        meta={"campaign": spec.name, "spec_hash": spec.spec_hash()},
     )
-    label = f"campaign:{spec.name}"
-    progress = ProgressReporter(total=len(jobs), label=label,
-                                enabled=not getattr(args, "live", False))
-    observer, heartbeat_s = _fleet_observer(args, label, len(jobs))
-    harness = Harness(jobs=args.jobs, cache=cache, progress=progress,
-                      artifact=artifact, observer=observer,
-                      timeout_s=args.timeout,
-                      retries=args.retries,
-                      retry_backoff_s=args.retry_backoff,
-                      resume=resume_map, heartbeat_s=heartbeat_s)
     print(f"campaign {spec.name}: {len(jobs)} points "
           f"({len(spec.cells())} cells x {spec.repetitions} repetitions) "
           f"-> {out_dir}", file=sys.stderr)
     try:
         outcomes = harness.run([job.spec for job in jobs])
     except KeyboardInterrupt:
-        artifact.close(cache.stats if cache else None)
         print(f"\ninterrupted; completed points are in {artifact_path} -- "
               f"finish with `repro campaign resume {out_dir}`",
               file=sys.stderr)
         return 130
     finally:
-        artifact.close(cache.stats if cache else None)
-        if observer is not None:
-            observer.finish()
-        progress.summary(cache.stats if cache else None)
-        _write_metrics(getattr(args, "metrics_out", None))
+        _finish_harness(harness)
 
     run = CampaignRun(campaign=spec, jobs=jobs, outcomes=outcomes)
     report = reduce_campaign(spec, run.cell_results())
@@ -1418,28 +1340,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time
 
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
     if args.top < 1:
         raise SystemExit("--top must be >= 1")
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if args.workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(args.workload, args.accesses, args.scale)
+    spec = _point_spec(args, args.design, args.workload, args.accesses)
+    bindings = spec.bindings()
     for binding in bindings:
         # Pay the one-time numpy->list conversion outside the profile so
         # the report shows the steady-state engine, not trace prep.
         binding.trace.as_lists()
-    simulator = Simulator(config)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = simulator.run(args.design, bindings,
-                           warmup_fraction=args.warmup)
+    result = execute_job(spec, bindings=bindings)
     profiler.disable()
     elapsed = time.perf_counter() - start
 
@@ -1788,4 +1701,5 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    _install_metrics(args)
     return _COMMANDS[args.command](args)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 from array import array
 from collections import Counter
-from typing import List
 
 import numpy as np
 
@@ -353,17 +352,3 @@ def load_trace(path: str) -> AccessTrace:
             mlp=float(data["mlp"]),
         )
 
-
-def concatenate_traces(name: str, traces: List[AccessTrace]) -> AccessTrace:
-    """Stitch trace phases together (used to build phased workloads)."""
-    if not traces:
-        raise TraceError("cannot concatenate zero traces")
-    return AccessTrace(
-        name=name,
-        virtual_pages=np.concatenate([t.virtual_pages for t in traces]),
-        lines=np.concatenate([t.lines for t in traces]),
-        writes=np.concatenate([t.writes for t in traces]),
-        instruction_gaps=np.concatenate([t.instruction_gaps for t in traces]),
-        base_cpi=traces[0].base_cpi,
-        mlp=traces[0].mlp,
-    )

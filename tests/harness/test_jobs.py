@@ -16,6 +16,18 @@ def test_workload_kind_inference():
     assert JobSpec(design="tagless", workload="MIX1").workload_kind == "mix"
 
 
+@pytest.mark.parametrize("workload, cores", [
+    ("sphinx3", 1), ("MIX1", 4), ("streamcluster", 4),
+])
+def test_num_cores_inferred_from_workload_kind(workload, cores):
+    spec = JobSpec(design="tagless", workload=workload)
+    assert spec.num_cores == cores
+    assert spec.system_config().num_cores == cores
+    # A value the caller gives wins.
+    assert JobSpec(design="tagless", workload=workload,
+                   num_cores=2).num_cores == 2
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(ConfigurationError):
         JobSpec(design="tagless", workload="not-a-program")

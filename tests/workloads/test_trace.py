@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TraceError
-from repro.workloads.trace import AccessTrace, concatenate_traces
+from repro.workloads.trace import AccessTrace
 
 
 def make(pages, lines=None, writes=None, gaps=None):
@@ -84,17 +84,6 @@ def test_as_lists_round_trip():
     assert pages == [1, 2]
     assert writes == [True, False]
     assert isinstance(pages, list)
-
-
-def test_concatenate():
-    joined = concatenate_traces("j", [make([1, 2]), make([3])])
-    assert len(joined) == 3
-    assert list(joined.virtual_pages) == [1, 2, 3]
-
-
-def test_concatenate_empty_rejected():
-    with pytest.raises(TraceError):
-        concatenate_traces("j", [])
 
 
 def test_empty_trace_properties():
