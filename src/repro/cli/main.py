@@ -514,6 +514,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _trace_generate(args: argparse.Namespace) -> int:
+    if args.target in MIXES:
+        raise SystemExit(
+            f"generate mode takes a SPEC or PARSEC program, not the mix "
+            f"{args.target!r}; to simulate the mix, capture it from a "
+            f"design: `repro trace <design> {args.target}`"
+        )
     profile = _profile_for(args.target)
     generator = TraceGenerator(profile, capacity_scale=args.scale)
     accesses = args.accesses if args.accesses is not None else 100_000
@@ -541,16 +547,18 @@ def _trace_capture(args: argparse.Namespace) -> int:
         raise SystemExit("--interval must be >= 1")
     accesses = args.accesses if args.accesses is not None else 20_000
     spec = _point_spec(args, args.target, args.workload, accesses)
+    bindings = spec.bindings()
     telemetry = make_telemetry(interval=args.interval,
                                unit=args.interval_unit)
-    result = execute_job(spec, telemetry=telemetry)
+    result = execute_job(spec, bindings=bindings, telemetry=telemetry)
     stem = f"{args.target}-{args.workload}"
     trace_path = args.trace_out or f"{stem}.perfetto.json"
     timeseries_path = args.timeseries_out or f"{stem}.timeseries.jsonl"
     telemetry.write_artifacts(trace_path, timeseries_path,
                               workload=args.workload)
     tracer = telemetry.tracer
-    print(f"{args.target} on {args.workload}: {accesses} accesses, "
+    total_accesses = sum(len(binding.trace) for binding in bindings)
+    print(f"{args.target} on {args.workload}: {total_accesses} accesses, "
           f"IPC {result.ipc_sum:.3f}, "
           f"{telemetry.timeseries.windows} windows, "
           f"{len(tracer)} events retained ({tracer.dropped} dropped)")
@@ -1599,7 +1607,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     Three phases, any failure exits non-zero:
 
     1. every selected design runs an invariant-checked simulation on a
-       deliberately small cache (evictions early and often);
+       deliberately small cache (evictions early and often), once on
+       one core and once on four cores with a private process each
+       (cache addresses recycle across cores);
     2. the optimized set-associative structures are replayed against the
        slow reference model on randomized traces (LRU/FIFO/CLOCK);
     3. one trace is replayed through the design chain and the
@@ -1628,7 +1638,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     profile = _profile_for(args.workload)
     trace = TraceGenerator(profile, capacity_scale=512).generate(accesses)
     bindings = [BoundTrace(0, 0, trace)]
-    simulator = Simulator(config)
+    # The same budget split over four cores, each its own process, on a
+    # cache smaller than their joint footprint: cache addresses recycle
+    # across cores, so the on-die purge of every core is checked too.
+    quad_config = _dc.replace(
+        build_system(cache_megabytes=384, num_cores=4, capacity_scale=512),
+        tlb_scale=32,
+    )
+    quad_bindings = [
+        BoundTrace(core_id, core_id,
+                   TraceGenerator(profile, capacity_scale=512,
+                                  seed_tag=f"check:{core_id}")
+                   .generate(max(1, accesses // 4)))
+        for core_id in range(4)
+    ]
     failures = 0
 
     # Designs with a runtime capacity schedule get one armed mid-run --
@@ -1640,18 +1663,24 @@ def cmd_check(args: argparse.Namespace) -> int:
         (max(2, 2 * accesses // 3), 1.0),
     ]
 
-    print(f"invariant sweep: {len(args.design)} designs x {accesses} "
-          f"accesses ({args.workload})")
-    for design in args.design:
-        try:
-            simulator.run(design, bindings, validate=True,
-                          validate_every=every,
-                          resize_schedule=resize_schedule,
-                          max_remap_per_resize=8)
-            print(f"  [ok]   {design}")
-        except InvariantViolation as exc:
-            failures += 1
-            print(f"  [FAIL] {design}: {exc}")
+    for label, machine, runs in (
+        ("1 core", config, bindings),
+        ("4 cores, private processes", quad_config, quad_bindings),
+    ):
+        print(f"invariant sweep ({label}): {len(args.design)} designs x "
+              f"{sum(len(b.trace) for b in runs)} accesses "
+              f"({args.workload})")
+        simulator = Simulator(machine)
+        for design in args.design:
+            try:
+                simulator.run(design, runs, validate=True,
+                              validate_every=every,
+                              resize_schedule=resize_schedule,
+                              max_remap_per_resize=8)
+                print(f"  [ok]   {design}")
+            except InvariantViolation as exc:
+                failures += 1
+                print(f"  [FAIL] {design}: {exc}")
 
     print(f"reference differential: {ref_ops} randomized ops per policy")
     for policy in reference.REFERENCE_POLICIES:

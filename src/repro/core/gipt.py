@@ -50,6 +50,13 @@ class GIPTEntry:
     #: Blocks touched during this residency (feeds the footprint
     #: predictor at eviction).
     touched_mask: int = 0
+    #: Cores whose on-die caches may hold lines of this page: every core
+    #: that ever had a residence bit set during this residency.  Sticky
+    #: (a TLB eviction clears ``residence_mask`` but the core's L1/L2 may
+    #: still hold the lines), so recycling the address purges exactly
+    #: these cores.  Simulator bookkeeping, not modelled hardware: it is
+    #: not counted in :meth:`GlobalInvertedPageTable.entry_bits`.
+    ondie_cores: int = 0
 
     def resident_anywhere(self) -> bool:
         """True when any core's TLB still maps this page."""
@@ -117,9 +124,13 @@ class GlobalInvertedPageTable:
     # TLB residence bits
     # ------------------------------------------------------------------
     def set_resident(self, cache_page: int, core_id: int) -> None:
-        """Mark the page as within ``core_id``'s TLB reach."""
+        """Mark the page as within ``core_id``'s TLB reach (and, from
+        now on, possibly in its on-die caches)."""
         self._check_core(core_id)
-        self.require(cache_page).residence_mask |= 1 << core_id
+        entry = self.require(cache_page)
+        bit = 1 << core_id
+        entry.residence_mask |= bit
+        entry.ondie_cores |= bit
         self.residence_updates += 1
 
     def clear_resident(self, cache_page: int, core_id: int) -> None:

@@ -31,8 +31,13 @@ GIPT_ENTRY_BYTES = 16
 
 #: Callback invoked when a cache page is recycled, so the design can
 #: invalidate the departing page's lines from the on-die caches (which
-#: are tagged by cache address in this design).
-PageEvictedFn = Callable[[int], None]
+#: are tagged by cache address in this design).  Called as
+#: ``fn(cache_page, ondie_cores)``: the second argument is the departing
+#: GIPT entry's :attr:`~repro.core.gipt.GIPTEntry.ondie_cores` bitmask,
+#: the cores that ever mapped the page during this residency.  A line of
+#: the page can enter a core's L1/L2 only through a cTLB mapping that
+#: set that core's bit, so no core outside the mask holds one.
+PageEvictedFn = Callable[[int, int], None]
 
 
 class TaglessCacheEngine:
@@ -251,7 +256,7 @@ class TaglessCacheEngine:
             if self.on_page_evicted is not None:
                 # Stale on-die lines tagged with this cache address must
                 # go; their dirt is subsumed by the page write-back.
-                self.on_page_evicted(cache_page)
+                self.on_page_evicted(cache_page, entry.ondie_cores)
             if entry.dirty:
                 # Read the (resident part of the) page out of the cache
                 # and write it home.

@@ -634,6 +634,7 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
                         if g is None:
                             gipt.set_resident(target, core_id)  # raises
                         g.residence_mask |= core_bit
+                        g.ondie_cores |= core_bit
                         entry = TLBEntry(target, False)
                         # TLBHierarchy.install, inlined (the probes
                         # above guarantee vp is in neither level).
@@ -687,6 +688,7 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
                         # any victim is chosen (allocate_and_fill's
                         # first set_resident).
                         g.residence_mask |= core_bit
+                        g.ondie_cores |= core_bit
                         on_fill_v(target)
                         # fill_page: demand-read the page from
                         # off-package DRAM, critical block first.

@@ -12,7 +12,8 @@ Wires the :mod:`repro.core` machinery into the common design interface:
 - an on-die miss on a cached page is *guaranteed* to hit in-package DRAM
   with zero tag-check latency -- the headline property;
 - recycling a cache address invalidates the departing page's lines from
-  every core's on-die hierarchy.
+  the on-die hierarchy of every core that mapped the page while it was
+  cached (the GIPT entry's ``ondie_cores`` mask).
 """
 
 from __future__ import annotations
@@ -186,10 +187,16 @@ class TaglessDesign(MemorySystemDesign):
         if gipt_entry is not None:
             gipt_entry.dirty = True
 
-    def _invalidate_ondie_page(self, cache_page: int) -> None:
-        """Recycled cache address: purge its lines from every core."""
-        for hierarchy in self.ondie:
-            hierarchy.invalidate_page(cache_page)
+    def _invalidate_ondie_page(self, cache_page: int, cores: int) -> None:
+        """Recycled cache address: purge its lines from the cores in the
+        ``cores`` bitmask (the departing entry's ``ondie_cores``)."""
+        ondie = self.ondie
+        core_id = 0
+        while cores:
+            if cores & 1:
+                ondie[core_id].invalidate_page(cache_page)
+            cores >>= 1
+            core_id += 1
 
     # ------------------------------------------------------------------
     # Policy surface (Section 3.5)
@@ -259,12 +266,16 @@ class TaglessDesign(MemorySystemDesign):
                     )
 
     def _check_ondie_keys_live(self) -> None:
-        """No on-die cache holds a line of a recycled cache address.
+        """No on-die cache holds a line it could miss on a recycle.
 
-        CA-keyed lines (below the PA namespace) must belong to pages the
-        engine currently maps; anything else means eviction forgot to
-        invalidate the on-die hierarchies.  Iterates the (small) on-die
-        caches, not the cache's page space.
+        Every CA-keyed line (below the PA namespace) in core c's L1/L2
+        must belong to a page the engine currently maps *and* have bit c
+        set in that entry's ``ondie_cores`` mask -- eviction purges only
+        the masked cores, so an unmasked line would outlive its page.
+        The mask test also catches a stale line whose address was
+        refilled before this sweep (the fresh entry's mask starts
+        empty).  Iterates the (small) on-die caches, not the cache's
+        page space.
         """
         live = self.engine.gipt._entries
         for core_id, hierarchy in enumerate(self.ondie):
@@ -274,12 +285,21 @@ class TaglessDesign(MemorySystemDesign):
                     if line_key >= PA_NAMESPACE_OFFSET:
                         continue  # NC line, PA-keyed: no cache page
                     cache_page = line_key // LINES_PER_PAGE
-                    if cache_page not in live:
+                    entry = live.get(cache_page)
+                    if entry is None:
                         raise SimulationError(
                             f"core {core_id} on-die {level_name} holds "
                             f"line {line_key} of CA {cache_page:#x}, which "
                             "is not cached (recycled address not "
                             "invalidated)"
+                        )
+                    if not (entry.ondie_cores >> core_id) & 1:
+                        raise SimulationError(
+                            f"core {core_id} on-die {level_name} holds "
+                            f"line {line_key} of CA {cache_page:#x}, but "
+                            f"the entry's on-die mask "
+                            f"{entry.ondie_cores:#x} lacks core {core_id} "
+                            "(a recycle would leave the line stale)"
                         )
 
     def _check_victim_tracker(self) -> None:

@@ -333,7 +333,7 @@ class TaglessResizableDesign(TaglessDesign):
         engine = self.engine
         new_ca = engine.free_queue.allocate()
         moved = engine.gipt.remove(old_ca)
-        self._invalidate_ondie_page(old_ca)
+        self._invalidate_ondie_page(old_ca, moved.ondie_cores)
         engine.victims.on_evicted(old_ca)
         fresh = engine.gipt.insert(new_ca, moved.physical_page, moved.pte)
         fresh.dirty = moved.dirty

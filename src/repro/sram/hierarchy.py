@@ -139,13 +139,20 @@ class OnDieHierarchy:
         Dirty lines are returned so the caller can merge them into the
         page's write-back (they are part of the page being evicted).
         """
+        # Both levels are fused-LRU, so SetAssociativeCache.invalidate()
+        # reduces to one dict pop per level: ``None`` when absent,
+        # otherwise the line's dirty bit.
         dirty: List[int] = []
+        l1_sets = self.l1._sets
+        l1_count = self.l1.num_sets
+        l2_sets = self.l2._sets
+        l2_count = self.l2.num_sets
         first = page_number * LINES_PER_PAGE
         for line in range(first, first + LINES_PER_PAGE):
-            for level in (self.l1, self.l2):
-                evicted = level.invalidate(line)
-                if evicted is not None and evicted.dirty:
-                    dirty.append(line)
+            if l1_sets[line % l1_count].entries.pop(line, None):
+                dirty.append(line)
+            if l2_sets[line % l2_count].entries.pop(line, None):
+                dirty.append(line)
         return dirty
 
     def reset_stats(self) -> None:

@@ -39,6 +39,26 @@ def test_trace_unknown_workload(capsys):
         main(["trace", "not-a-program"])
 
 
+def test_trace_generate_points_a_mix_to_capture_mode():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "MIX1"])
+    message = str(excinfo.value.code)
+    assert "SPEC or PARSEC program" in message
+    assert "repro trace <design> MIX1" in message
+
+
+def test_trace_capture_reports_total_accesses(tmp_path, capsys):
+    """A mix runs four cores: the summary counts all of them, as
+    ``repro profile`` does."""
+    code, out = run_cli(
+        capsys, "trace", "tagless", "MIX1", "--accesses", "300",
+        "--trace-out", str(tmp_path / "t.perfetto.json"),
+        "--timeseries-out", str(tmp_path / "t.timeseries.jsonl"),
+    )
+    assert code == 0
+    assert "tagless on MIX1: 1200 accesses" in out
+
+
 def test_run_single_program_json(capsys):
     code, out = run_cli(
         capsys, "run", "tagless", "sphinx3",
@@ -208,7 +228,10 @@ def test_profile_rejects_bad_top(capsys):
 def test_check_smoke_single_design(capsys):
     code, out = run_cli(capsys, "check", "--smoke", "--design", "tagless")
     assert code == 0
-    assert "[ok]   tagless" in out
+    # One invariant sweep on one core, one on four private processes.
+    assert "invariant sweep (1 core)" in out
+    assert "invariant sweep (4 cores, private processes)" in out
+    assert out.count("[ok]   tagless") == 2
     assert "[ok]   lru" in out
     assert "check: PASS" in out
 

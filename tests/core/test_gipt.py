@@ -82,6 +82,34 @@ class TestResidenceBits:
             gipt.set_resident(9, 0)
 
 
+class TestOnDieCores:
+    def test_set_resident_adds_a_sticky_core_bit(self, gipt):
+        entry = gipt.insert(1, 10, make_pte())
+        assert entry.ondie_cores == 0
+        gipt.set_resident(1, 0)
+        gipt.set_resident(1, 2)
+        assert entry.ondie_cores == 0b101
+        # Leaving TLB reach does not empty the core's on-die caches.
+        gipt.clear_resident(1, 0)
+        gipt.clear_resident(1, 2)
+        assert entry.residence_mask == 0
+        assert entry.ondie_cores == 0b101
+
+    def test_mask_is_per_residency(self, gipt):
+        gipt.insert(1, 10, make_pte())
+        gipt.set_resident(1, 3)
+        gipt.clear_resident(1, 3)
+        assert gipt.remove(1).ondie_cores == 0b1000
+        assert gipt.insert(1, 11, make_pte()).ondie_cores == 0
+
+    def test_mask_is_not_in_the_size_model(self, gipt):
+        before = gipt.storage_bytes()
+        gipt.insert(1, 10, make_pte())
+        gipt.set_resident(1, 1)
+        assert gipt.storage_bytes() == before
+        assert GlobalInvertedPageTable.entry_bits(num_cores=4) == 82
+
+
 class TestSizeModel:
     def test_entry_bits_match_paper(self):
         """Section 3.2: 36 PPN + 42 PTEP + 4 residence bits = 82 bits."""

@@ -24,7 +24,7 @@ def make_engine(capacity_pages=8, replacement="fifo", alpha=1,
         in_package=in_pkg,
         off_package=off_pkg,
         gipt_base_page=10_000,
-        on_page_evicted=evicted.append,
+        on_page_evicted=lambda ca, _cores: evicted.append(ca),
     )
     return engine, evicted
 

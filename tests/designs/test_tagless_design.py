@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.common.addressing import LINES_PER_PAGE
 from repro.common.errors import SimulationError
 from repro.designs import create_design
+from repro.sram.hierarchy import OnDieHierarchy
+from repro.validate.invariants import InvariantChecker, InvariantViolation
 
 
 def touch_page(design, vpn, lines=4, now=0.0, write=False, core=0, proc=0):
@@ -107,11 +110,89 @@ def test_multithreaded_shared_page_single_fill(small_mp_config):
     assert design.engine.gipt.require(ca).residence_mask == 0b1111
 
 
+def ondie_pages(hierarchy):
+    """Cache pages with at least one line in ``hierarchy``."""
+    return {line // LINES_PER_PAGE
+            for level in (hierarchy.l1, hierarchy.l2) for line in level}
+
+
+def ondie_contents(hierarchy):
+    return [dict(cache_set.entries)
+            for level in (hierarchy.l1, hierarchy.l2)
+            for cache_set in level._sets]
+
+
+@pytest.fixture
+def invalidations(monkeypatch):
+    """Record ``(hierarchy, page)`` for every on-die page purge."""
+    calls = []
+    original = OnDieHierarchy.invalidate_page
+
+    def recording(self, page_number):
+        calls.append((self, page_number))
+        return original(self, page_number)
+
+    monkeypatch.setattr(OnDieHierarchy, "invalidate_page", recording)
+    return calls
+
+
+def test_victim_hit_from_second_core_adds_its_ondie_bit(small_mp_config):
+    design = create_design("tagless", small_mp_config)
+    touch_page(design, vpn=7, lines=2, core=0, proc=0)
+    ca = design.page_table(0).entry(7).cache_page
+    entry = design.engine.gipt.require(ca)
+    assert entry.ondie_cores == 0b0001
+    touch_page(design, vpn=7, lines=2, now=10_000.0, core=2, proc=0)
+    assert design.engine.fills == 1
+    assert design.engine.victim_hits == 1
+    assert entry.ondie_cores == 0b0101
+    # Core 2 leaves TLB reach but keeps the lines: the bit stays.
+    design.tlbs[2].flush()
+    assert entry.residence_mask == 0b0001
+    assert entry.ondie_cores == 0b0101
+    assert ca in ondie_pages(design.ondie[2])
+
+
+def test_eviction_purges_only_masked_cores(small_mp_config, invalidations):
+    design = create_design("tagless", small_mp_config)
+    for core in range(4):
+        touch_page(design, vpn=10 + core, lines=4, now=core * 1000.0,
+                   write=True, core=core, proc=core)
+    ca = design.page_table(2).entry(12).cache_page
+    assert design.engine.gipt.require(ca).ondie_cores == 0b0100
+    assert ca in ondie_pages(design.ondie[2])
+    design.tlbs[2].flush()  # out of TLB reach: evictable
+    others = {core: ondie_contents(design.ondie[core]) for core in (0, 1, 3)}
+    engine = design.engine
+    engine.free_queue.enqueue_eviction(ca)
+    engine._drain_evictions(50_000.0)
+    assert invalidations == [(design.ondie[2], ca)]
+    assert ca not in ondie_pages(design.ondie[2])
+    assert {core: ondie_contents(design.ondie[core])
+            for core in (0, 1, 3)} == others
+    design._check_ondie_keys_live()
+
+
+def test_ondie_invariant_flags_line_in_unmasked_core(small_mp_config):
+    design = create_design("tagless", small_mp_config)
+    touch_page(design, vpn=3, lines=2, core=0, proc=0)
+    ca = design.page_table(0).entry(3).cache_page
+    design._check_ondie_keys_live()
+    # A line of a live page in a core that never mapped it -- what a
+    # stale line looks like once its address has been refilled.
+    design.ondie[1].l2.insert(ca * LINES_PER_PAGE + 5)
+    with pytest.raises(SimulationError, match="lacks core 1"):
+        design._check_ondie_keys_live()
+    with pytest.raises(InvariantViolation, match="ondie_keys_live"):
+        InvariantChecker(design).run_checks()
+
+
 def test_writeback_marks_gipt_dirty(design):
     touch_page(design, vpn=1, lines=2, write=True)
     ca = design.page_table(0).entry(1).cache_page
     # Force the dirty L1/L2 lines out by invalidating the page.
-    design._invalidate_ondie_page(ca)  # drops them; dirt subsumed
+    cores = design.engine.gipt.require(ca).ondie_cores
+    design._invalidate_ondie_page(ca, cores)  # drops them; dirt subsumed
     # Direct path: dirty L2 victim routed through _writeback_line.
     line = ca * 64
     design._writeback_line(line, 0.0)

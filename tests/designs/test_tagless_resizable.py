@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.common.addressing import LINES_PER_PAGE
 from repro.common.errors import ConfigurationError
 from repro.cpu.batched import select_kernel
 from repro.designs.registry import create_design
@@ -13,6 +14,7 @@ from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
 
 from tests.designs.test_reset_stats import drive
+from tests.designs.test_tagless_design import invalidations  # noqa: F401
 
 
 @pytest.fixture
@@ -115,6 +117,29 @@ class TestResizeMechanics:
         design = build(small_config, [(2000, 0.75)], max_remap=16)
         checked_drive(design, churn_trace, every=32)
         assert design.resize_log[0]["remapped"] > 0
+
+    def test_remap_purges_old_address_with_moved_mask(self, small_mp_config,
+                                                      invalidations):
+        design = create_design("tagless-resizable", small_mp_config)
+        for core in (1, 3):  # two threads of process 0 map one page
+            for line in range(3):
+                design.access(core, 0, 5, line, False, 1000.0 * core)
+        old_ca = design.page_table(0).entry(5).cache_page
+        assert design.engine.gipt.require(old_ca).ondie_cores == 0b1010
+        for core in (1, 3):
+            design.tlbs[core].flush()
+        design._remap_page(old_ca, 10_000.0)
+        assert invalidations == [(design.ondie[1], old_ca),
+                                 (design.ondie[3], old_ca)]
+        new_ca = design.page_table(0).entry(5).cache_page
+        assert new_ca != old_ca
+        # The new address holds no on-die lines yet: its mask starts
+        # empty and grows again as cores map it.
+        assert design.engine.gipt.require(new_ca).ondie_cores == 0
+        for hierarchy in design.ondie:
+            assert all(line // LINES_PER_PAGE != old_ca
+                       for level in (hierarchy.l1, hierarchy.l2)
+                       for line in level)
 
     def test_eviction_during_gating_routes_to_gated_set(self, small_config):
         design = build(small_config)

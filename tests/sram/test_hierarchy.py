@@ -80,6 +80,32 @@ def test_invalidate_unknown_page_is_noop():
     assert h.invalidate_page(999) == []
 
 
+def test_invalidate_page_matches_per_line_invalidate():
+    """The flattened page purge drops and reports exactly what one
+    ``SetAssociativeCache.invalidate`` per line and level would."""
+    import copy
+    import random
+
+    rng = random.Random(5)
+    h = make_hierarchy(l1_lines=32, l2_lines=256)
+    for _ in range(3000):
+        h.access(rng.randrange(8 * LINES_PER_PAGE), rng.random() < 0.4)
+    for page in range(8):
+        reference = copy.deepcopy(h)
+        expected = []
+        first = page * LINES_PER_PAGE
+        for line in range(first, first + LINES_PER_PAGE):
+            for level in (reference.l1, reference.l2):
+                evicted = level.invalidate(line)
+                if evicted is not None and evicted.dirty:
+                    expected.append(line)
+        assert h.invalidate_page(page) == expected
+        for level, ref_level in ((h.l1, reference.l1),
+                                 (h.l2, reference.l2)):
+            assert [s.entries for s in level._sets] == \
+                [s.entries for s in ref_level._sets]
+
+
 def test_miss_rate_and_stats():
     h = make_hierarchy()
     h.access(1, False)
